@@ -415,9 +415,21 @@ pub fn fit_vector_cached(
 /// seed depends only on its index, so the output is identical at every
 /// thread count, cached or cold.
 pub fn transform_all(samples: &[&Sample], t: Transformer, seed: u64) -> Vec<yali_ir::Module> {
+    transform_normalized_all(samples, t, None, seed)
+}
+
+/// [`transform_all`], with each module then optimized at `normalizer` if
+/// one is given, as one cached transform per sample
+/// ([`engine::transform_normalized_cached`]): Game 3's challenges.
+pub fn transform_normalized_all(
+    samples: &[&Sample],
+    t: Transformer,
+    normalizer: Option<yali_opt::OptLevel>,
+    seed: u64,
+) -> Vec<yali_ir::Module> {
     let _s = yali_obs::span!("transform.batch");
     engine::par_map(samples, |i, s| {
-        engine::transform_cached(&s.program, t, seed ^ ((i as u64) << 16))
+        engine::transform_normalized_cached(&s.program, t, normalizer, seed ^ ((i as u64) << 16))
     })
 }
 
@@ -437,6 +449,22 @@ mod tests {
             yali_minic::print(&c.samples[0].program),
             yali_minic::print(&c2.samples[0].program)
         );
+    }
+
+    #[test]
+    fn sweep_corpora_match_their_golden_digest() {
+        // The corpora a sweep plays, pinned as printed source, so that
+        // template caching or author styling can never change them unseen.
+        // The digest comes from code that re-parsed every template per
+        // solution.
+        let mut h = yali_ir::Fnv64::new();
+        for round in 0..5 {
+            for s in &Corpus::poj(8, 12, round).samples {
+                h.write_u64(s.class as u64);
+                h.write_str(&yali_minic::print(&s.program));
+            }
+        }
+        assert_eq!(h.finish(), 0xcb41_3cf2_58d3_4d6a);
     }
 
     #[test]

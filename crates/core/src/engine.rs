@@ -1,5 +1,5 @@
-//! The parallel experiment engine: a deterministic scoped-thread map and a
-//! content-addressed embedding cache.
+//! The parallel experiment engine: a deterministic scoped-thread map and
+//! content-addressed caches of embeddings, transforms and trained models.
 //!
 //! Experiments in this crate are embarrassingly parallel at two grains —
 //! per-sample (transform, embed, classify) and per-round (seeds, sweep
@@ -7,7 +7,7 @@
 //! game embeds each module once to train and once per challenge, and the
 //! benchmark sweeps replay the same modules across many design points.
 //!
-//! Three primitives exploit that without touching any experiment's
+//! Four primitives exploit that without touching any experiment's
 //! results:
 //!
 //! - [`par_map`] (re-exported from [`yali_par`], where `yali-ml`'s
@@ -28,7 +28,12 @@
 //!   a hash of the printed source program plus the transformer and seed —
 //!   the complete input of that pure function. Sweeps that pit many
 //!   models against the same transformed corpus stop re-obfuscating it
-//!   per design point.
+//!   per design point. Game 3's challenge pipeline — the evader, then the
+//!   classifier's `-O3` normalizer — is one cached transform in the same
+//!   cache ([`transform_normalized_cached`]), keyed by source hash,
+//!   evader, normalizer and seed, so the models of a sweep share one
+//!   normalization of their challenges and a resumed sweep reads it back
+//!   from the store instead of re-optimizing.
 //! - [`ModelCache`] is the trained-model store: serialized classifier
 //!   blobs keyed by a digest of the complete training input (embedding,
 //!   model, training knobs, training-set content hashes, labels). Arena,
@@ -56,6 +61,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::transformer::Transformer;
 use yali_embed::{Embedding, EmbeddingKind};
+use yali_opt::OptLevel;
 
 pub use yali_par::{par_for_each_mut, par_map, par_map_with, worker_count};
 
@@ -263,15 +269,22 @@ pub fn embed_cached(m: &yali_ir::Module, kind: EmbeddingKind) -> Embedding {
     EmbedCache::global().embed(m, kind)
 }
 
-/// One transform-cache shard: `(source hash, transformer, seed)` → module.
-type TransformShard = Mutex<HashMap<(u64, Transformer, u64), yali_ir::Module>>;
+/// A transform-cache key: `(source hash, transformer, normalizer, seed)`.
+type TransformKey = (u64, Transformer, Option<OptLevel>, u64);
 
-/// A content-addressed cache for [`Transformer::apply`].
+/// One transform-cache shard: key → module.
+type TransformShard = Mutex<HashMap<TransformKey, yali_ir::Module>>;
+
+/// A content-addressed cache for [`Transformer::apply`] and for Game 3's
+/// challenge pipeline, the evader's transform followed by the
+/// classifier's `-O<level>` normalization.
 ///
-/// `apply` is a pure function of `(program, transformer, seed)`; the key
-/// hashes the printed source (stable across clones) plus the other two, so
-/// a hit returns the module the recomputation would produce. This is what
-/// keeps sweeps from re-obfuscating one corpus once per design point.
+/// Both are pure functions of `(program, transformer, normalizer, seed)`;
+/// the key hashes the printed source (stable across clones) plus the
+/// other three, so a hit returns the module the recomputation would
+/// produce. This is what keeps sweeps from re-obfuscating one corpus once
+/// per design point, and from re-optimizing the same Game 3 challenges
+/// once per model.
 pub struct TransformCache {
     shards: Vec<TransformShard>,
     counters: CacheCounters,
@@ -307,17 +320,40 @@ impl TransformCache {
 
     /// Applies (or recalls) `t` to `program` under `seed`.
     pub fn apply(&self, program: &yali_minic::Program, t: Transformer, seed: u64) -> yali_ir::Module {
+        self.apply_normalized(program, t, None, seed)
+    }
+
+    /// Applies (or recalls) `t` to `program` under `seed`, then optimizes
+    /// the result at `normalizer` if one is given. A normalized module is
+    /// an entry of its own, published to the store under its own key, so
+    /// a replayed Game 3 challenge costs one lookup and no `optimize`.
+    pub fn apply_normalized(
+        &self,
+        program: &yali_minic::Program,
+        t: Transformer,
+        normalizer: Option<OptLevel>,
+        seed: u64,
+    ) -> yali_ir::Module {
         let mut h = yali_ir::Fnv64::new();
         h.write_str(&yali_minic::print(program));
-        let key = (h.finish(), t, seed);
-        let shard = &self.shards[(key.0 as usize) % SHARDS];
+        self.lookup(program, (h.finish(), t, normalizer, seed))
+    }
+
+    fn lookup(&self, program: &yali_minic::Program, key: TransformKey) -> yali_ir::Module {
+        let (source_hash, t, normalizer, seed) = key;
+        let shard = &self.shards[(source_hash as usize) % SHARDS];
         if let Some(m) = shard.lock().unwrap().get(&key) {
             self.counters.hit();
             return m.clone();
         }
         self.counters.miss();
         let store = if self.attached { crate::store::active() } else { None };
-        let skey = crate::store::transform_key(key.0, t.name(), seed);
+        let skey = match normalizer {
+            None => crate::store::transform_key(source_hash, t.name(), seed),
+            Some(level) => {
+                crate::store::normalized_transform_key(source_hash, t.name(), level.flag(), seed)
+            }
+        };
         if let Some(store) = &store {
             if let Some(m) = store
                 .get(crate::store::Namespace::Transform, skey)
@@ -329,7 +365,16 @@ impl TransformCache {
                 return m;
             }
         }
-        let m = t.apply(program, seed);
+        let m = match normalizer {
+            None => t.apply(program, seed),
+            // The transform's own output comes through the cache: Games 1
+            // and 2 have usually computed it already.
+            Some(level) => {
+                let mut m = self.lookup(program, (source_hash, t, None, seed));
+                yali_opt::optimize(&mut m, level);
+                m
+            }
+        };
         if shard.lock().unwrap().insert(key, m.clone()).is_none() {
             self.counters.insert();
             if let Some(store) = &store {
@@ -361,11 +406,28 @@ impl TransformCache {
 /// Transforms through the global [`TransformCache`] (or directly, under
 /// `YALI_CACHE=0`).
 pub fn transform_cached(program: &yali_minic::Program, t: Transformer, seed: u64) -> yali_ir::Module {
+    transform_normalized_cached(program, t, None, seed)
+}
+
+/// [`transform_cached`], then an optional `-O<level>` normalization of
+/// the result, as one cached transform (Game 3's challenges). Under
+/// `YALI_CACHE=0` this is the uncached reference: `t.apply`, then
+/// `optimize`.
+pub fn transform_normalized_cached(
+    program: &yali_minic::Program,
+    t: Transformer,
+    normalizer: Option<OptLevel>,
+    seed: u64,
+) -> yali_ir::Module {
     let _span = yali_obs::span!("transform.one");
     if !caching_enabled() {
-        return t.apply(program, seed);
+        let mut m = t.apply(program, seed);
+        if let Some(level) = normalizer {
+            yali_opt::optimize(&mut m, level);
+        }
+        return m;
     }
-    TransformCache::global().apply(program, t, seed)
+    TransformCache::global().apply_normalized(program, t, normalizer, seed)
 }
 
 /// The content-addressed trained-model store.
@@ -620,6 +682,33 @@ mod tests {
     }
 
     #[test]
+    fn normalized_transform_matches_the_direct_pipeline() {
+        let cache = TransformCache::new();
+        let p = yali_minic::parse(
+            "int f(int n) { int s = 0; for (int i = 0; i < n; i++) { s = s + i * 2; } return s; }",
+        )
+        .unwrap();
+        let t = Transformer::Ir(yali_obf::IrObf::Fla);
+        let mut direct = t.apply(&p, 4);
+        yali_opt::optimize(&mut direct, OptLevel::O3);
+        let cold = cache.apply_normalized(&p, t, Some(OptLevel::O3), 4);
+        let warm = cache.apply_normalized(&p, t, Some(OptLevel::O3), 4);
+        assert_eq!(yali_ir::print_module(&direct), yali_ir::print_module(&cold));
+        assert_eq!(yali_ir::print_module(&direct), yali_ir::print_module(&warm));
+        // The cold call missed on the pipeline and on the evader's own
+        // output; the warm call is one hit and runs nothing.
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 2));
+        // The plain transform is still its own entry: a hit, unoptimized.
+        let plain = cache.apply(&p, t, 4);
+        assert_eq!(
+            yali_ir::print_module(&plain),
+            yali_ir::print_module(&t.apply(&p, 4))
+        );
+        assert_eq!(cache.stats().hits, 2);
+    }
+
+    #[test]
     fn model_cache_counts_and_clears() {
         let cache = ModelCache::new();
         assert!(cache.get(42).is_none());
@@ -672,6 +761,19 @@ mod tests {
         let from_disk = tc2.apply(&p, t, 3);
         assert_eq!(yali_ir::print_module(&from_disk), yali_ir::print_module(&direct));
         assert_eq!(from_disk.content_hash(), direct.content_hash());
+
+        // And the normalized pipeline, under its own store key.
+        let tc3 = TransformCache { attached: true, ..TransformCache::new() };
+        let normalized = tc3.apply_normalized(&p, t, Some(OptLevel::O3), 3);
+        let tc4 = TransformCache { attached: true, ..TransformCache::new() };
+        let recalled = tc4.apply_normalized(&p, t, Some(OptLevel::O3), 3);
+        assert_eq!(yali_ir::print_module(&recalled), yali_ir::print_module(&normalized));
+        let s = tc4.stats();
+        assert_eq!(
+            (s.hits, s.misses, s.inserts),
+            (0, 1, 1),
+            "a disk hit, with no lookup of the evader's own output"
+        );
 
         crate::store::set_store_dir(None).unwrap();
         let _ = std::fs::remove_dir_all(&dir);

@@ -5,9 +5,16 @@
 //! | 0 (symmetric) | plain 0.8 split | no | no |
 //! | 1 (asymmetric) | plain 0.8 split | yes | no |
 //! | 2 (symmetric) | evader-transformed 0.8 split | yes | no |
-//! | 3 (asymmetric) | normalizer-transformed 0.8 split | yes | yes (challenges too) |
+//! | 3 (asymmetric) | normalizer-transformed 0.8 split | yes | yes: challenges too, evader then `-O3` as one cached transform |
+//!
+//! Every transform goes through the engine's [`crate::TransformCache`]:
+//! the training split under its transform, the challenges under the
+//! evader and, in Game 3, the normalizer. A replayed design point
+//! therefore recomputes neither.
 
-use crate::arena::{fit_classifier_cached, transform_all, ClassifierSpec, Corpus};
+use crate::arena::{
+    fit_classifier_cached, transform_all, transform_normalized_all, ClassifierSpec, Corpus,
+};
 use crate::transformer::Transformer;
 use serde::Serialize;
 
@@ -55,6 +62,9 @@ pub struct GameConfig {
     /// The evader's transformation (ignored in Game 0).
     pub evader: Transformer,
     /// The classifier's normalizer (Game 3 only; the paper uses `-O3`).
+    /// The training split goes through it; the challenges are re-optimized
+    /// at its level when it is a [`Transformer::Opt`], and left as the
+    /// evader made them otherwise.
     pub normalizer: Transformer,
     /// Train fraction (the paper's games use 0.8).
     pub train_fraction: f64,
@@ -138,24 +148,22 @@ pub fn play(corpus: &Corpus, config: &GameConfig) -> GameResult {
         )
     };
 
-    // What the evader hands over.
+    // What the evader hands over; in Game 3 the classifier re-optimizes
+    // every challenge it receives. Evader and normalizer run as one cached
+    // transform per challenge, so the models of a sweep share one
+    // normalization and a resumed sweep reads it from the store.
     let evader = match config.game {
         Game::Game0 => Transformer::None,
         _ => config.evader,
     };
-    let mut challenge_modules = {
-        let _s = yali_obs::span!("game.transform_challenge");
-        transform_all(&test, evader, config.seed ^ 0xEEAD)
+    let normalizer = match (config.game, config.normalizer) {
+        (Game::Game3, Transformer::Opt(level)) => Some(level),
+        _ => None,
     };
-    // Game 3: the classifier re-optimizes every challenge it receives.
-    if config.game == Game::Game3 {
-        if let Transformer::Opt(level) = config.normalizer {
-            let _s = yali_obs::span!("game.normalize");
-            crate::engine::par_for_each_mut(&mut challenge_modules, |_, m| {
-                yali_opt::optimize(m, level);
-            });
-        }
-    }
+    let challenge_modules = {
+        let _s = yali_obs::span!("game.transform_challenge");
+        transform_normalized_all(&test, evader, normalizer, config.seed ^ 0xEEAD)
+    };
 
     let pred: Vec<usize> = {
         let _s = yali_obs::span!("game.infer");

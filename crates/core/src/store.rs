@@ -59,7 +59,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use yali_embed::{Embedding, EmbeddingKind, ProgramGraph};
 use yali_obs::{EnvVar, WarnOnce};
 use yali_ir::Fnv64;
-use yali_ml::serialize::{ByteReader, ByteWriter, CODEC_VERSION};
+use yali_ml::serialize::{ByteWriter, CODEC_VERSION};
 
 /// Which cache a record belongs to. The tag byte is part of the on-disk
 /// frame, so the values are stable.
@@ -797,24 +797,78 @@ pub fn encode_embedding(e: &Embedding) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Deserializes [`encode_embedding`] bytes; `None` on a version or shape
-/// mismatch (treated as a store miss).
-pub fn decode_embedding(bytes: &[u8]) -> Option<Embedding> {
-    if bytes.len() < 2 || bytes[0] != CODEC_VERSION {
-        return None;
+/// A bounds-checked reader over a store payload. Every read past the end
+/// is `None`, and a length read from the payload is accepted only when
+/// the bytes it announces are there, so a damaged or foreign blob can
+/// neither panic nor allocate from an untrusted length.
+struct PayloadReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> PayloadReader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.rest.len() {
+            return None;
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Some(head)
     }
-    let mut r = ByteReader::new(&bytes[1..]);
-    match r.get_u8() {
-        1 => Some(Embedding::Vector(r.get_f64s())),
+
+    fn u8(&mut self) -> Option<u8> {
+        self.take(1).map(|b| b[0])
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.take(8)?.try_into().ok().map(u64::from_le_bytes)
+    }
+
+    fn usize(&mut self) -> Option<usize> {
+        usize::try_from(self.u64()?).ok()
+    }
+
+    /// A count of items at least `min_size` bytes each, accepted only
+    /// when that many bytes remain.
+    fn count(&mut self, min_size: usize) -> Option<usize> {
+        let n = self.usize()?;
+        (n.checked_mul(min_size)? <= self.rest.len()).then_some(n)
+    }
+
+    fn bytes(&mut self) -> Option<&'a [u8]> {
+        let n = self.count(1)?;
+        self.take(n)
+    }
+
+    fn f64s(&mut self) -> Option<Vec<f64>> {
+        let n = self.count(8)?;
+        (0..n).map(|_| self.u64().map(f64::from_bits)).collect()
+    }
+}
+
+/// Starts reading `bytes` past its codec version byte; `None` when the
+/// version is missing or foreign.
+fn payload(bytes: &[u8]) -> Option<PayloadReader<'_>> {
+    let mut r = PayloadReader { rest: bytes };
+    (r.u8()? == CODEC_VERSION).then_some(r)
+}
+
+/// Deserializes [`encode_embedding`] bytes; `None` on a version or shape
+/// mismatch or a truncated body (treated as a store miss).
+pub fn decode_embedding(bytes: &[u8]) -> Option<Embedding> {
+    let mut r = payload(bytes)?;
+    match r.u8()? {
+        1 => Some(Embedding::Vector(r.f64s()?)),
         2 => {
-            let n = r.get_usize();
-            let feats = (0..n).map(|_| r.get_f64s()).collect();
-            let ne = r.get_usize();
+            // A feature row is at least its length prefix; an edge is two
+            // endpoints and a tag.
+            let n = r.count(8)?;
+            let feats = (0..n).map(|_| r.f64s()).collect::<Option<_>>()?;
+            let ne = r.count(17)?;
             let mut edges = Vec::with_capacity(ne);
             for _ in 0..ne {
-                let s = r.get_usize();
-                let d = r.get_usize();
-                let k = edge_from_tag(r.get_u8())?;
+                let s = r.usize()?;
+                let d = r.usize()?;
+                let k = edge_from_tag(r.u8()?)?;
                 edges.push((s, d, k));
             }
             Some(Embedding::Graph(ProgramGraph { feats, edges }))
@@ -833,15 +887,11 @@ pub fn encode_module(m: &yali_ir::Module) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Deserializes [`encode_module`] bytes; `None` on version mismatch or a
-/// parse error (treated as a store miss).
+/// Deserializes [`encode_module`] bytes; `None` on version mismatch, a
+/// length prefix past the end, or a parse error (treated as a store miss).
 pub fn decode_module(bytes: &[u8]) -> Option<yali_ir::Module> {
-    if bytes.len() < 2 || bytes[0] != CODEC_VERSION {
-        return None;
-    }
-    let mut r = ByteReader::new(&bytes[1..]);
-    let text = String::from_utf8(r.get_bytes()).ok()?;
-    yali_ir::parse_module(&text).ok()
+    let text = std::str::from_utf8(payload(bytes)?.bytes()?).ok()?;
+    yali_ir::parse_module(text).ok()
 }
 
 /// Serializes a model blob for the store. Model blobs already carry the
@@ -880,6 +930,24 @@ pub fn transform_key(source_hash: u64, transformer_name: &str, seed: u64) -> u64
     h.write_str("store-transform-v1");
     h.write_u64(source_hash);
     h.write_str(transformer_name);
+    h.write_u64(seed);
+    h.finish()
+}
+
+/// Store key for a normalized transform record: a transform's output
+/// re-optimized at `normalizer` (Game 3's challenge pipeline). Its own
+/// key, so it never shadows the plain transform's record.
+pub fn normalized_transform_key(
+    source_hash: u64,
+    transformer_name: &str,
+    normalizer_flag: &str,
+    seed: u64,
+) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_str("store-transform-normalized-v1");
+    h.write_u64(source_hash);
+    h.write_str(transformer_name);
+    h.write_str(normalizer_flag);
     h.write_u64(seed);
     h.finish()
 }
@@ -1023,6 +1091,50 @@ mod tests {
         assert_eq!(yali_ir::print_module(&decoded), yali_ir::print_module(&m));
     }
 
+    /// A version byte followed by `body`.
+    fn blob(body: &[u8]) -> Vec<u8> {
+        let mut b = vec![CODEC_VERSION];
+        b.extend_from_slice(body);
+        b
+    }
+
+    #[test]
+    fn module_decoder_misses_on_a_length_prefix_past_the_end() {
+        let good = encode_module(&yali_minic::compile("int f() { return 1; }").unwrap());
+        let text_len = good.len() - 9;
+        for prefix in [text_len as u64 + 1, u64::MAX] {
+            let mut bad = good.clone();
+            bad[1..9].copy_from_slice(&prefix.to_le_bytes());
+            assert!(decode_module(&bad).is_none(), "prefix {prefix}");
+        }
+    }
+
+    #[test]
+    fn decoders_miss_on_a_three_byte_body() {
+        assert!(decode_module(&blob(&[0, 0, 0])).is_none());
+        for tag in [1, 2] {
+            assert!(decode_embedding(&blob(&[tag, 0, 0])).is_none(), "tag {tag}");
+        }
+        assert!(decode_module(&[]).is_none());
+        assert!(decode_embedding(&[]).is_none());
+    }
+
+    #[test]
+    fn embedding_decoder_misses_on_counts_past_the_end() {
+        // A vector, a graph's row count and a graph's edge count, each
+        // announcing more items than the blob holds.
+        let mut vector = vec![1];
+        vector.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode_embedding(&blob(&vector)).is_none());
+        let mut rows = vec![2];
+        rows.extend_from_slice(&(u64::MAX / 8).to_le_bytes());
+        assert!(decode_embedding(&blob(&rows)).is_none());
+        let mut edges = vec![2];
+        edges.extend_from_slice(&0u64.to_le_bytes());
+        edges.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        assert!(decode_embedding(&blob(&edges)).is_none());
+    }
+
     #[test]
     fn model_codec_round_trips_and_rejects_foreign_versions() {
         let blob = vec![9u8, 8, 7];
@@ -1042,5 +1154,13 @@ mod tests {
         assert_ne!(embed_key(1, EmbeddingKind::Cfg), embed_key(2, EmbeddingKind::Cfg));
         assert_ne!(transform_key(1, "fla", 0), transform_key(1, "fla", 1));
         assert_ne!(transform_key(1, "fla", 0), transform_key(1, "bcf", 0));
+        assert_ne!(
+            normalized_transform_key(1, "fla", "-O3", 0),
+            transform_key(1, "fla", 0)
+        );
+        assert_ne!(
+            normalized_transform_key(1, "fla", "-O3", 0),
+            normalized_transform_key(1, "fla", "-O2", 0)
+        );
     }
 }

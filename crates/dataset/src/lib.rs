@@ -38,18 +38,23 @@ pub use benchgame::{Benchmark, BENCHMARKS};
 pub use malware::{benign_program, mirai_variant};
 pub use spec::{InputSpec, ProblemSpec};
 
+use std::sync::OnceLock;
 use yali_minic::Program;
 
 /// The number of problem classes (the paper's POJ-104 has 104).
 pub const NUM_PROBLEMS: usize = 104;
 
-/// All problem specifications, in stable class order.
-pub fn problems() -> Vec<ProblemSpec> {
-    let mut all = problems_math::specs();
-    all.extend(problems_arrays::specs());
-    all.extend(problems_dp::specs());
-    all.extend(problems_misc::specs());
-    all
+/// All problem specifications, in stable class order (built once per
+/// process).
+pub fn problems() -> &'static [ProblemSpec] {
+    static ALL: OnceLock<Vec<ProblemSpec>> = OnceLock::new();
+    ALL.get_or_init(|| {
+        let mut all = problems_math::specs();
+        all.extend(problems_arrays::specs());
+        all.extend(problems_dp::specs());
+        all.extend(problems_misc::specs());
+        all
+    })
 }
 
 /// One author's solution to `problem` (class index), derived

@@ -3,6 +3,9 @@
 //! handful of hand-written variants into hundreds of distinct "human"
 //! solutions per problem.
 
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
+
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -142,19 +145,33 @@ const AUTHOR_STYLES: &[SourceTransform] = &[
 ];
 
 impl ProblemSpec {
-    /// Parses (and caches nothing — templates are tiny) the base variant.
+    /// The base variant `idx` as a checked program. Each template is
+    /// parsed and checked at most once per process, on first use; later
+    /// calls clone the checked program.
     ///
     /// # Panics
     ///
     /// Panics if a template fails to parse or type-check: templates are
     /// compile-time constants, so that is a bug in this crate.
     pub fn variant(&self, idx: usize) -> Program {
+        // Templates are `'static`, so a source's address and length name
+        // it: two templates at one address are one string.
+        static PARSED: Mutex<BTreeMap<(usize, usize), Program>> = Mutex::new(BTreeMap::new());
         let src = self.variants[idx % self.variants.len()];
-        let p = yali_minic::parse(src)
-            .unwrap_or_else(|e| panic!("template {}[{idx}] fails to parse: {e}\n{src}", self.name));
-        yali_minic::check(&p)
-            .unwrap_or_else(|e| panic!("template {}[{idx}] fails sema: {e}", self.name));
-        p
+        // A template that panics below inserts nothing, so a map poisoned
+        // by it still holds only checked programs.
+        let mut parsed = PARSED.lock().unwrap_or_else(PoisonError::into_inner);
+        parsed
+            .entry((src.as_ptr() as usize, src.len()))
+            .or_insert_with(|| {
+                let p = yali_minic::parse(src).unwrap_or_else(|e| {
+                    panic!("template {}[{idx}] fails to parse: {e}\n{src}", self.name)
+                });
+                yali_minic::check(&p)
+                    .unwrap_or_else(|e| panic!("template {}[{idx}] fails sema: {e}", self.name));
+                p
+            })
+            .clone()
     }
 
     /// Produces one "author" solution: a random variant with random style

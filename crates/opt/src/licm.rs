@@ -55,9 +55,13 @@ pub fn natural_loops(f: &Function, dt: &DomTree) -> Vec<NaturalLoop> {
             }
         }
     }
-    loops
-        .into_iter()
-        .map(|(header, body)| NaturalLoop { header, body })
+    // Headers in layout order, so hoisting order never follows hash order.
+    f.block_order()
+        .iter()
+        .filter_map(|&header| {
+            let body = loops.remove(&header)?;
+            Some(NaturalLoop { header, body })
+        })
         .collect()
 }
 
@@ -91,7 +95,15 @@ pub fn run(f: &mut Function) -> usize {
             if pre == l.header || l.body.contains(&pre) {
                 continue;
             }
-            for &b in l.body.iter() {
+            // Body blocks in layout order: the hoisted instructions land in
+            // `pre` in the order they are met.
+            let body: Vec<BlockId> = f
+                .block_order()
+                .iter()
+                .copied()
+                .filter(|b| l.body.contains(b))
+                .collect();
+            for b in body {
                 let insts: Vec<InstId> = f.block(b).insts.clone();
                 for i in insts {
                     let inst = f.inst(i);

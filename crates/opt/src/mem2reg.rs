@@ -33,14 +33,24 @@ pub fn run(f: &mut Function) -> usize {
     let dt = DomTree::build(f);
     let preds = f.predecessors();
 
-    // For each alloca: blocks containing stores (definition sites).
-    let mut def_blocks: HashMap<InstId, HashSet<BlockId>> = HashMap::new();
+    // For each alloca: blocks containing stores (definition sites), and
+    // the allocas themselves, both in layout order. Phis are prepended as
+    // they are made, so the order they are made in is their order in the
+    // output: it must follow the function, not hash or arena order.
+    let mut def_blocks: HashMap<InstId, Vec<BlockId>> = HashMap::new();
+    let mut allocas: Vec<InstId> = Vec::new();
     for (b, i) in f.iter_insts() {
         let inst = f.inst(i);
+        if candidates.contains_key(&i) {
+            allocas.push(i);
+        }
         if inst.op == Op::Store {
             if let Value::Inst(a) = &inst.args[1] {
                 if candidates.contains_key(a) {
-                    def_blocks.entry(*a).or_default().insert(b);
+                    let blocks = def_blocks.entry(*a).or_default();
+                    if blocks.last() != Some(&b) {
+                        blocks.push(b);
+                    }
                 }
             }
         }
@@ -49,11 +59,9 @@ pub fn run(f: &mut Function) -> usize {
     // Phi insertion at iterated dominance frontiers.
     // phi_of[(block, alloca)] = phi inst id.
     let mut phi_of: HashMap<(BlockId, InstId), InstId> = HashMap::new();
-    for (&alloca, elem_ty) in &candidates {
-        let mut work: Vec<BlockId> = def_blocks
-            .get(&alloca)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
+    for alloca in allocas {
+        let elem_ty = &candidates[&alloca];
+        let mut work: Vec<BlockId> = def_blocks.get(&alloca).cloned().unwrap_or_default();
         let mut has_phi: HashSet<BlockId> = HashSet::new();
         while let Some(b) = work.pop() {
             for &df in dt.frontier(b) {

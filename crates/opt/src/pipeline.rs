@@ -119,6 +119,24 @@ mod tests {
     "#;
 
     #[test]
+    fn optimization_is_deterministic_and_blind_to_arena_numbering() {
+        // Several promotable slots and loop invariants: the order of the
+        // phis and of the hoisted instructions must follow the function,
+        // never hash-map iteration or arena ids, so every run — and a run on
+        // the module's printed-and-reparsed twin — prints the same module.
+        let src = "int f(int n, int k) { int a = 0; int b = 1; int c = 2; int d = 3; \
+                   for (int i = 0; i < n; i++) { a += k * 3; b = b + a; c = c - b; d = d + k * 5; } \
+                   return a + b + c + d; }";
+        let m0 = yali_minic::compile(src).unwrap();
+        let twin = yali_ir::parse_module(&yali_ir::print_module(&m0)).unwrap();
+        let want = yali_ir::print_module(&optimized(&m0, OptLevel::O3));
+        for _ in 0..8 {
+            assert_eq!(yali_ir::print_module(&optimized(&m0, OptLevel::O3)), want);
+            assert_eq!(yali_ir::print_module(&optimized(&twin, OptLevel::O3)), want);
+        }
+    }
+
+    #[test]
     fn all_levels_verify_and_agree() {
         let m0 = yali_minic::compile(PROGRAM).unwrap();
         let reference = exec(&m0, "f", &[Val::Int(50)], &[], &ExecConfig::default())

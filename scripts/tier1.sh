@@ -1,13 +1,19 @@
 #!/usr/bin/env bash
 # Tier-1 verification: release build, full test suite, a warning-free
-# clippy pass over every target (benches and tests included), and a
-# round-trip smoke test of the yali-serve daemon.
+# clippy pass over every target (benches and tests included), the
+# benchmark package's build and tests, and a round-trip smoke test of the
+# yali-serve daemon.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
+
+# The benchmark package is a workspace of its own (path dependencies on
+# the crates), so the commands above never build it: build and test it
+# here, or a library change could break the benchmark unseen.
+cargo test --release --offline --manifest-path yalibench/Cargo.toml
 
 # The ml suite again with SIMD dispatch forced off: every GEMM consumer
 # must be green on the blocked scalar fallback too (the bit-oracle

@@ -1,10 +1,11 @@
 //! Engine determinism: a fixed-seed game must produce byte-identical
-//! results at every thread count, and with cold or warm caches. This is
-//! the contract that lets the experiment engine parallelize and cache
-//! without perturbing any figure.
+//! results at every thread count, with cold or warm caches, with the
+//! caches off, and from the artifact store. This is the contract that lets
+//! the experiment engine parallelize and cache without perturbing any
+//! figure.
 
 use proptest::prelude::*;
-use yali_core::{engine, play, ClassifierSpec, Corpus, Game, GameConfig, Transformer};
+use yali_core::{engine, play, store, ClassifierSpec, Corpus, Game, GameConfig, Transformer};
 use yali_ml::ModelKind;
 
 // YALI_THREADS and the yali-obs enabled/trace state are process-global;
@@ -56,6 +57,35 @@ proptest! {
         prop_assert_eq!(&serial_cold, &parallel_warm, "cold vs warm caches");
         let serial_warm = run("1", false);
         prop_assert_eq!(&serial_cold, &serial_warm, "serial replay on warm caches");
+
+        // The uncached reference: every transform recomputed, and Game 3's
+        // challenges as the evader followed directly by `optimize`. A test
+        // running meanwhile that sees the variable only recomputes.
+        std::env::set_var("YALI_CACHE", "0");
+        let uncached = run("8", false);
+        std::env::remove_var("YALI_CACHE");
+
+        // Store-backed, through the programmatic twin of `YALI_STORE`: a
+        // cold run publishes into a fresh store, then a run on cleared
+        // memory caches reads its artifacts back from disk. The previous
+        // store (a `YALI_STORE` the suite runs under) is restored before
+        // any assertion can return early.
+        let previous = store::active().map(|s| s.dir().to_path_buf());
+        let dir = std::env::temp_dir().join(format!(
+            "yali_engine_determinism_{}_{seed}_{game_idx}",
+            std::process::id()
+        ));
+        store::set_store_dir(Some(&dir)).unwrap();
+        let store_cold = run("8", true);
+        let store_warm = run("8", true);
+        let disk_hits = store::active_stats().unwrap().disk_hits;
+        store::set_store_dir(previous.as_deref()).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        prop_assert_eq!(&serial_cold, &uncached, "cached vs YALI_CACHE=0");
+        prop_assert_eq!(&serial_cold, &store_cold, "cold run into a fresh store");
+        prop_assert_eq!(&serial_cold, &store_warm, "memory-cold run read from the store");
+        prop_assert!(disk_hits > 0, "the store-backed replay never read the disk");
     }
 }
 
